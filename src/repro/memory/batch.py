@@ -12,7 +12,7 @@ surface:
   parallel columns (flags, addresses, issue times) instead of request
   objects.  Backends with a native ``access_batch`` iterate the columns
   directly; request objects are materialized lazily and only on fallback
-  paths.  When numpy is available the columns are mirrored as ndarrays
+  paths.  The columns are mirrored as ndarrays
   (:meth:`RequestWindow.arrays`) so the columnar kernels in
   :mod:`repro.memory.columnar` evaluate whole windows per ufunc pass;
   :meth:`RequestWindow.from_arrays` builds a window directly over
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, Union
 
-from repro import _np as _nphelper
+import numpy as np
+
 from repro.memory.request import (
     CACHELINE_BYTES,
     MemoryOp,
@@ -146,9 +147,8 @@ class RequestWindow:
 
         ``asarray`` adopts the buffers without copying when the dtypes
         already match (bool / int64 / float64) — the path the
-        ``.coltrace`` memmap columns take.  Requires numpy.
+        ``.coltrace`` memmap columns take.
         """
-        np = _nphelper.np
         w = np.asarray(is_write, dtype=np.bool_)
         a = np.asarray(addresses, dtype=np.int64)
         t = np.asarray(times, dtype=np.float64)
@@ -201,12 +201,10 @@ class RequestWindow:
 
         Cached after the first call; zero-copy when the window was built
         through :meth:`from_arrays`, one ``fromiter`` pass per column
-        otherwise.  Requires numpy — callers gate on
-        ``repro._np.kernels_enabled()``.
+        otherwise.
         """
         cached = self._arrays
         if cached is None:
-            np = _nphelper.np
             n = len(self.addresses)
             cached = (
                 np.fromiter(self.is_write, dtype=np.bool_, count=n),
@@ -226,7 +224,6 @@ class RequestWindow:
         self.addresses = addresses
         cached = self._arrays
         if cached is not None:
-            np = _nphelper.np
             self._arrays = (
                 cached[0],
                 np.asarray(addresses, dtype=np.int64),
@@ -292,11 +289,12 @@ class ResponseWindow:
     Indexing materializes a :class:`MemoryResponse` through the normal
     constructor, so the ``occupied_until`` clamp and ``latency`` property
     behave exactly as on the scalar path.  ``overrides`` carries the few
-    elements a native batch loop served through scalar fallback (they may
+    elements a native batch path served through scalar fallback (they may
     hold data payloads or flag bits the columns do not model).  The
-    ``complete``/``occupied``/``blocked`` columns are lists on the
-    fallback loops and float64 ndarrays from the columnar kernels;
-    element access coerces to builtin floats either way.
+    ``complete``/``occupied``/``blocked`` columns are float64 ndarrays
+    from the columnar kernels and lists from the PSM extent-flush path
+    and the bandwidth throttle; element access coerces to builtin floats
+    either way.
     """
 
     __slots__ = ("window", "complete", "occupied", "blocked",
@@ -357,7 +355,7 @@ class ResponseWindow:
             return cached
         complete = self.complete
         overrides = self.overrides
-        if _nphelper.HAVE_NUMPY and isinstance(complete, _nphelper.np.ndarray):
+        if isinstance(complete, np.ndarray):
             out = complete - self.window.arrays()[2]
             if overrides:
                 for index, response in overrides.items():

@@ -43,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro import _np as _nphelper
+import numpy as np
+
 from repro.memory.batch import (
     BatchResponses,
     RequestWindow,
@@ -55,6 +56,7 @@ from repro.memory.request import (
     MemoryRequest,
     MemoryResponse,
 )
+from repro.sim.stats import fold_left_sum
 
 __all__ = [
     "DirtyExtentMap",
@@ -280,14 +282,12 @@ def report_from_responses(
                     blocked += responses.blocked[index]
                 if complete > done:
                     done = complete
-        elif _nphelper.HAVE_NUMPY and isinstance(
-            responses.complete, _nphelper.np.ndarray
-        ):
+        elif isinstance(responses.complete, np.ndarray):
             # max is order-insensitive and fold_left_sum replays the
             # scalar accumulation order, so this stays bit-identical.
             if len(responses):
                 done = max(done, float(responses.complete.max()))
-            blocked = _nphelper.fold_left_sum(blocked, responses.blocked)
+            blocked = fold_left_sum(blocked, responses.blocked)
         else:
             for complete in responses.complete:
                 if complete > done:

@@ -1,9 +1,8 @@
 """Numpy-columnar kernel for the PSM's exact batch path.
 
 Same contract as :mod:`repro.memory.columnar`: observational identity
-with the Python batched loop (:meth:`PSM.access_batch`), which is itself
-value-identical to the scalar port dispatch.  The equivalence suites run
-both modes and compare ``repr``-for-``repr``.
+with the scalar port dispatch (looping :meth:`PSM.access`).  The
+equivalence suites compare the two ``repr``-for-``repr``.
 
 The PSM pipeline splits cleanly into a *translation* stage that is pure
 arithmetic and a *service* stage that is an irreducibly stateful
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._np import np
+import numpy as np
 from repro.memory.batch import RequestWindow, ResponseWindow
 from repro.memory.request import (
     AddressSpaceError,
@@ -61,8 +60,8 @@ def _translate_columns(psm, addr, w, served):
     unit_size = wear.randomize_unit
     units = wear._units
     randomizer = wear._randomizer
-    # Per-randomizer unit lookup table (ndarray analogue of the batched
-    # path's ``_unit_memo`` dict); -1 marks an unevaluated unit.
+    # Per-randomizer unit lookup table (ndarray analogue of the extent
+    # flush path's ``_unit_memo`` dict); -1 marks an unevaluated unit.
     table = getattr(psm, "_unit_table", None)
     if table is None or psm._unit_table_randomizer is not randomizer \
             or len(table) != units:
@@ -149,7 +148,7 @@ def psm_access_window(psm, window: RequestWindow) -> ResponseWindow:
     — and the page-drain pipeline inlined (the same float expressions,
     in the same order, as ``_drain_page``/``_program_line``/
     ``PRAMDevice.write`` with ``early_return=True``).  Error ordering
-    matches the Python loop: the served prefix's state and stats commit
+    matches the scalar loop: the served prefix's state and stats commit
     before the :class:`AddressSpaceError` is raised.
     """
     cfg = psm.config
@@ -490,7 +489,7 @@ def psm_access_window(psm, window: RequestWindow) -> ResponseWindow:
         channel_col[dimm_index] = t + 20.0
         complete_col[index] = complete
 
-    # -- commit (same order as the batched loop) -----------------------------
+    # -- commit (same order as the scalar loop) ------------------------------
     for k, die in enumerate(dies_flat):
         die.busy_until = busy_flat[k]
         die._cooling = cool_flat[k]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro import _np as _nphelper
+import numpy as np
 
 __all__ = ["FeistelPermutation", "StartGap", "WearRegisters"]
 
@@ -85,7 +85,6 @@ class FeistelPermutation:
         with explicit 32-bit masks, so every intermediate matches the
         arbitrary-precision Python ints masked by ``& 0xFFFFFFFF``.
         """
-        np = _nphelper.np
         half_bits = np.uint64(self._half_bits)
         half_mask = np.uint64(self._half_mask)
         mask32 = np.uint64(0xFFFFFFFF)
@@ -109,7 +108,6 @@ class FeistelPermutation:
         boolean masks until all land inside ``[0, n)``; the result equals
         element-wise :meth:`apply` exactly (same network, same walk).
         """
-        np = _nphelper.np
         if self.n == 1:
             return np.zeros(len(values), dtype=np.int64)
         y = self._permute_once_many(values.astype(np.uint64))

@@ -1,7 +1,7 @@
 """Numpy-columnar kernels for the conventional-PMEM exact batch path.
 
 Same contract as :mod:`repro.memory.columnar`: observational identity
-with the Python batched loops — the same float expressions evaluated in
+with the scalar loops — the same float expressions evaluated in
 the same order, the same stats/state commits, the same error ordering.
 
 Two kernels, one per layer:
@@ -29,7 +29,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Optional
 
-from repro._np import np
+import numpy as np
 from repro.memory.batch import (
     RequestWindow,
     ResponseWindow,
@@ -243,7 +243,7 @@ def pmem_dimm_window(dimm, window: RequestWindow) -> ResponseWindow:
     # Per-bank die maxima seed from one grouped reduce over the die
     # matrix (banks x dies-per-bank); both maxima are refreshed only
     # after a media frame operation actually moves a die, exactly like
-    # the batched loop (die ``busy_until`` is monotonic).
+    # the scalar loop (die ``busy_until`` is monotonic).
     busy_matrix = np.fromiter(
         (die.busy_until for die in dimm.dies),
         dtype=np.float64, count=len(dimm.dies),
@@ -456,7 +456,7 @@ def pmem_dimm_window(dimm, window: RequestWindow) -> ResponseWindow:
         dev_append(index)
         dev_store(complete)
 
-    # -- commit (same final state as the batched loop's live updates) -------
+    # -- commit (same final state as the scalar loop's live updates) --------
     lsq.combines = lsq_combines
     lsq.allocations = lsq_allocations
     lsq.evictions = lsq_evictions

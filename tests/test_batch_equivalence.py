@@ -7,9 +7,10 @@ device state.  These tests drive the same deterministic (and
 hypothesis-generated) streams through two fresh instances of each
 backend, one per path, and diff everything observable.
 
-The native fast paths (DRAM, PSM, PMEM controller/DIMM) are also pinned
+The columnar kernels (DRAM, PSM, PMEM controller/DIMM) are also pinned
 to actually return a :class:`ResponseWindow`, so a silent fall-back to
-the default loop fails the suite instead of quietly losing the speedup.
+the default loop fails the suite instead of quietly losing the speedup;
+configurations the kernel declines are pinned to the default loop.
 """
 
 from __future__ import annotations
@@ -40,16 +41,18 @@ from repro.pmem.dimm import PMEMDIMM
 from repro.sim.stats import StatsRegistry
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _kernel_mode_matrix(kernel_mode):
-    """Run this whole suite once per columnar-kernel mode.
+@pytest.fixture(autouse=True, scope="module", params=["numpy"])
+def _kernel_route(request):
+    """Name the one batch route under test: the numpy kernel.
 
-    Scalar/batched (and scalar/extent) identity must hold both when the
-    batch path runs the pure Python loops and when it runs the numpy
-    kernels; the module-scoped matrix proves stats trees, wear
-    registers and fault splits match in either mode.
+    Every assertion here compares that route (or the default loop, for
+    configurations the kernel declines) against the scalar reference.
     """
-    yield
+    yield request.param
+
+
+def _psm(make=PSMConfig, **overrides):
+    return PSM(make(dimms=2, lines_per_dimm=1 << 10, **overrides))
 
 
 def _pmem():
@@ -60,16 +63,27 @@ def _pmem():
 
 BACKENDS = {
     "dram": lambda: DRAMSubsystem(DRAMConfig(capacity=1 << 22, ranks=4)),
-    "psm": lambda: PSM(PSMConfig(dimms=2, lines_per_dimm=1 << 10)),
+    "psm": _psm,
+    # The PSM kernel's LightPC-B (no aggregation, with and without early
+    # return) and no-reconstruction branches.
+    "psm_b": lambda: _psm(PSMConfig.lightpc_b),
+    "psm_b_early_return": lambda: _psm(
+        PSMConfig.lightpc_b, early_return_writes=True),
+    "psm_no_reconstruction": lambda: _psm(ecc_reconstruction=False),
+    # Start-Gap seed rotation: the kernel declines to the scalar loop.
+    "psm_rotate_seed": lambda: _psm(rotate_seed_every=2),
     "pmem": _pmem,
     "nmem": lambda: NMEMController(
         DRAMSubsystem(DRAMConfig(capacity=1 << 20, ranks=4)), _pmem()
     ),
 }
 
-#: Tiers whose ``access_batch`` is a native columnar loop (must return a
-#: ResponseWindow for window-shaped input, not fall back to the default).
-NATIVE = ("dram", "psm", "pmem")
+#: Tiers whose ``access_batch`` is a native columnar kernel (must return
+#: a ResponseWindow for window-shaped input, not fall back to the default).
+NATIVE = ("dram", "psm", "psm_b", "psm_b_early_return",
+          "psm_no_reconstruction", "pmem")
+#: Configurations the kernel declines: served by the default loop.
+DEFAULT_LOOP = ("psm_rotate_seed",)
 
 
 def _capacity(backend) -> int:
@@ -148,6 +162,10 @@ class TestBackendEquivalence:
             for out in outputs:
                 assert isinstance(out, ResponseWindow), \
                     f"{name} silently fell back to the default loop"
+        if name in DEFAULT_LOOP:
+            for out in outputs:
+                assert isinstance(out, list), \
+                    f"{name} reached the kernel it must decline"
         assert_equivalent(scalar, batched, scalar_responses, batch_responses)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))

@@ -4,8 +4,8 @@ The tentpole contract: every exact engine (scalar, window, extent) is
 observationally identical at machine scope — same RunResult, same stats,
 same wear registers — and the registry is the only dispatch point left
 (``Machine.run``, litmus and drill all resolve engines by name).  The
-columnar kernels must agree between their numpy and pure-python legs,
-and the CLI rejects unknown engine names with the one-line exit-2
+columnar kernels must agree with plain-Python reductions computed in
+the tests, and the CLI rejects unknown engine names with the one-line exit-2
 convention.
 """
 
@@ -18,7 +18,6 @@ import pytest
 
 from repro.cli import main
 from repro.core import Machine
-from repro.engine import columnar
 from repro.engine.base import (
     DEFAULT_ENGINE,
     ExecutionEngine,
@@ -44,6 +43,7 @@ from repro.engine.scalar import ScalarEngine
 from repro.engine.window import WindowEngine
 from repro.memory.batch import RequestWindow, backend_access_batch
 from repro.memory.extent import Extent, window_from_extents
+from repro.memory.request import CACHELINE_BYTES
 from repro.ocpmem.psm import PSM
 from repro.workloads import load_workload
 
@@ -177,16 +177,22 @@ def _reference_columns(count: int, seed: int):
 
 class TestColumnarKernels:
     @pytest.mark.parametrize("count", (0, 1, 2, 257, 4096))
-    def test_numpy_and_fallback_signatures_agree(self, count, monkeypatch):
-        columns = _reference_columns(count, seed=count)
-        fast = signature_of_columns(*columns)
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
-        slow = signature_of_columns(*columns)
-        assert fast.records == slow.records == count
-        assert fast.writes == slow.writes
-        assert fast.instructions == slow.instructions
-        assert fast.unique_lines == slow.unique_lines
-        assert fast.row_locality == pytest.approx(slow.row_locality)
+    def test_signatures_match_python_oracle(self, count):
+        addresses, is_write, instructions = _reference_columns(
+            count, seed=count)
+        fast = signature_of_columns(addresses, is_write, instructions)
+        lines = [address // CACHELINE_BYTES for address in addresses]
+        rows = [line * CACHELINE_BYTES // 2048 for line in lines]
+        same_row = sum(1 for prev, cur in zip(rows, rows[1:]) if prev == cur)
+        if count == 0:
+            locality = 0.0
+        else:
+            locality = same_row / (count - 1) if count > 1 else 1.0
+        assert fast.records == count
+        assert fast.writes == sum(1 for flag in is_write if flag)
+        assert fast.instructions == sum(instructions)
+        assert fast.unique_lines == len(set(lines))
+        assert fast.row_locality == pytest.approx(locality)
 
     def test_record_and_window_signatures_share_the_kernel(self):
         addresses, is_write, instructions = _reference_columns(512, seed=9)
@@ -219,19 +225,19 @@ class TestColumnarKernels:
         assert empty.close_to(empty, tolerance=0.0)
         assert not empty.close_to(base, tolerance=0.5)
 
-    def test_response_summary_window_matches_fallback(self, monkeypatch):
+    def test_response_summary_matches_python_oracle(self):
         psm = PSM()
         window = window_from_extents([Extent(0, 64), Extent(1 << 14, 32)],
                                      0.0)
         responses = backend_access_batch(psm, window)
         fast = summarize_responses(responses)
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
-        slow = summarize_responses(responses)
-        assert fast.responses == slow.responses == 96
-        assert fast.latency_total == pytest.approx(slow.latency_total)
-        assert fast.latency_min == slow.latency_min
-        assert fast.latency_max == slow.latency_max
-        assert fast.blocked_total == pytest.approx(slow.blocked_total)
+        latencies = [response.latency for response in responses]
+        blocked = [response.blocked_ns for response in responses]
+        assert fast.responses == len(latencies) == 96
+        assert fast.latency_total == pytest.approx(sum(latencies))
+        assert fast.latency_min == min(latencies)
+        assert fast.latency_max == max(latencies)
+        assert fast.blocked_total == pytest.approx(sum(blocked))
         assert fast.latency_mean == pytest.approx(
             fast.latency_total / fast.responses)
 

@@ -56,16 +56,14 @@ from repro.pmem.dimm import PMEMDIMM
 from repro.sim.stats import StatsRegistry
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _kernel_mode_matrix(kernel_mode):
-    """Run this whole suite once per columnar-kernel mode.
+@pytest.fixture(autouse=True, scope="module", params=["numpy"])
+def _kernel_route(request):
+    """Name the one batch route under test: the numpy kernel.
 
-    Scalar/batched (and scalar/extent) identity must hold both when the
-    batch path runs the pure Python loops and when it runs the numpy
-    kernels; the module-scoped matrix proves stats trees, wear
-    registers and fault splits match in either mode.
+    Every assertion here compares that route (or the default loop, for
+    configurations the kernel declines) against the scalar reference.
     """
-    yield
+    yield request.param
 
 
 def _pmem():

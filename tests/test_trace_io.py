@@ -1,5 +1,7 @@
 """Tests for trace save/load."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,21 +152,20 @@ class TestColumnar:
         assert open_trace(path) is first
         assert open_trace(path, shared=False) is not first
 
-    def test_pure_python_fallback_parity(self, tmp_path, monkeypatch):
-        from repro.workloads import trace_io
-
-        if not trace_io.HAVE_NUMPY:
-            pytest.skip("already on the fallback path")
+    def test_columnar_bytes_match_struct_oracle(self, tmp_path):
         records = self._records()
-        with_numpy = tmp_path / "np.coltrace"
-        save_trace_columnar(records, with_numpy)
-        monkeypatch.setattr(trace_io, "HAVE_NUMPY", False)
-        without = tmp_path / "plain.coltrace"
-        save_trace_columnar(records, without)
-        assert with_numpy.read_bytes() == without.read_bytes()
-        trace = open_trace(with_numpy, shared=False)
+        path = tmp_path / "t.coltrace"
+        save_trace_columnar(records, path)
+        count = len(records)
+        expected = (
+            struct.pack("<8sHQ", b"LPCTRACE", 2, count)
+            + struct.pack(f"<{count}I", *(r.instructions for r in records))
+            + struct.pack(f"<{count}Q", *(r.address for r in records))
+            + bytes(1 if r.is_write else 0 for r in records)
+        )
+        assert path.read_bytes() == expected
+        trace = open_trace(path, shared=False)
         assert list(trace.window(40, 90)) == records[40:90]
-        trace.close()
 
     def test_truncated_columns_rejected(self, tmp_path):
         path = tmp_path / "t.coltrace"
