@@ -43,7 +43,8 @@ from repro.power.psu import ATX_PSU, SERVER_PSU
 from repro.sim.stats import LatencyStats, geometric_mean
 from repro.workloads.registry import WORKLOAD_SPECS
 from repro.workloads.stream import STREAM_KERNELS, stream_kernel
-from repro.workloads.suites import Workload, load_workload
+from repro.workloads.suites import ReplayWorkload, Workload, load_workload
+from repro.workloads.trace_io import RecordStream
 
 __all__ = [
     "ExperimentResult",
@@ -110,14 +111,37 @@ def full_run_scale(workload: Workload, refs: Optional[int] = None) -> float:
 _MATRIX_PLATFORMS = ("legacy", "lightpc_b", "lightpc")
 
 
+#: Per-thread record streams of the workload whose platform cells are
+#: running, keyed by ``(name, refs, seed)``; at most one entry.
+_TraceMemo = dict[tuple[str, int, int], tuple[RecordStream, ...]]
+
+
+def _matrix_workload(
+    name: str, refs: int, seed: int, memo: Optional[_TraceMemo],
+) -> Workload | ReplayWorkload:
+    """The cell's workload, replayed from ``memo`` when one is given."""
+    workload = load_workload(name, refs=refs, seed=seed)
+    if memo is None:
+        return workload
+    key = (name, refs, seed)
+    streams = memo.get(key)
+    if streams is None:
+        memo.clear()
+        streams = tuple(RecordStream(trace) for trace in workload.traces())
+        memo[key] = streams
+    # The original ``refs`` keeps the kernel-noise volume of the cell.
+    return ReplayWorkload(spec=workload.spec, streams=streams, refs=refs)
+
+
 def _matrix_trial(
     trial: int, rng, names: tuple[str, ...] = (), refs: int = 24_000,
     seed: int = 42, engine: Optional[str] = None,
+    memo: Optional[_TraceMemo] = None,
 ) -> tuple[tuple[str, str], RunResult]:
     """One (workload, platform) cell of the matrix (deterministic)."""
     name = names[trial // len(_MATRIX_PLATFORMS)]
     platform = _MATRIX_PLATFORMS[trial % len(_MATRIX_PLATFORMS)]
-    workload = load_workload(name, refs=refs, seed=seed)
+    workload = _matrix_workload(name, refs, seed, memo)
     machine = Machine.for_workload(platform, workload, engine=engine)
     return (name, platform), machine.run(workload)
 
@@ -135,13 +159,21 @@ def _matrix_cached(
         # Joins the campaign fingerprint: cells simulated under one
         # engine must never reload from another engine's shard cache.
         params["engine"] = engine
-    cells = runner.run(Campaign(
-        name="platform_matrix",
-        trials=len(names) * len(_MATRIX_PLATFORMS),
-        trial_fn=_matrix_trial,
-        seed=seed,
-        params=params,
-    ))
+    # Cells run in trial order, so a workload's three platform cells
+    # replay one generation.  The memo lives for this call only; each
+    # shard sent to a worker process carries its own empty copy.
+    memo: _TraceMemo = {}
+    try:
+        cells = runner.run(Campaign(
+            name="platform_matrix",
+            trials=len(names) * len(_MATRIX_PLATFORMS),
+            trial_fn=_matrix_trial,
+            seed=seed,
+            params=params,
+            shared={"memo": memo},
+        ))
+    finally:
+        memo.clear()
     return dict(cells)
 
 

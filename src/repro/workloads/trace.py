@@ -27,7 +27,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.memory.request import CACHELINE_BYTES, ROW_BYTES
 
@@ -36,9 +36,14 @@ __all__ = ["LocalityProfile", "TraceGenerator", "TraceRecord"]
 _WORD = 8  # access granularity within a line
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One memory reference plus the compute preceding it."""
+class TraceRecord(NamedTuple):
+    """One memory reference plus the compute preceding it.
+
+    A named tuple, not a dataclass: immutable with the same fields, but
+    built at tuple speed, which matters because every reference of
+    every trace is one record.  It compares and unpacks as the tuple
+    ``(instructions, address, is_write)``.
+    """
 
     instructions: int
     address: int
@@ -159,11 +164,7 @@ class TraceGenerator:
             else:
                 address = rng.randrange(0, ws_bytes, _WORD)
 
-            yield TraceRecord(
-                instructions=instructions,
-                address=self.base_address + address,
-                is_write=is_write,
-            )
+            yield TraceRecord(instructions, self.base_address + address, is_write)
 
     def columns(self, count: int) -> tuple[list[int], list[int], list[bool]]:
         """The same trace as (instructions, addresses, is_write) columns.

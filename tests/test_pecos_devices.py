@@ -13,6 +13,7 @@ from repro.pecos import (
     MachineRegisters,
     default_dpm_list,
 )
+from repro.pecos.device import _mmio_pattern
 from repro.sim import Simulator
 
 
@@ -53,6 +54,21 @@ class TestDeviceDriver:
         assert drv.mmio_snapshot != original
         drv.dpm_resume_noirq(dcb)
         assert drv.mmio_snapshot == original
+
+    @pytest.mark.parametrize("size", [0, 1, 64, 255, 256, 257, 1000])
+    def test_mmio_ramp_matches_fill_formula(self, size):
+        for seed in range(256):
+            assert _mmio_pattern(seed, size) == bytes(
+                (seed + i) & 0xFF for i in range(size))
+
+    def test_reset_restores_name_derived_mmio(self):
+        drv = DeviceDriver("eth0", order=0, mmio_bytes=1024)
+        seed = sum(b"eth0") & 0xFF
+        expected = bytes((seed + i) & 0xFF for i in range(1024))
+        assert drv.mmio_snapshot == expected
+        drv.scribble_mmio()
+        drv.reset()
+        assert drv.mmio_snapshot == expected
 
     def test_wrong_dcb_rejected(self):
         a = DeviceDriver("a", order=0)
